@@ -3,8 +3,10 @@ package federation
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -20,7 +22,7 @@ import (
 
 // Target is one schedd host behind the router. Exactly one of Server
 // (in-process handle, direct mode) and URL (base URL of a remote
-// daemon, e.g. "http://10.0.0.7:8080") must be set.
+// daemon, plain http, e.g. "http://10.0.0.7:8080") must be set.
 type Target struct {
 	// Name is the host's ring identity: placement hashes it, and the
 	// aggregated metrics label per-run rows with it. Every router
@@ -42,15 +44,12 @@ type Options struct {
 	Vnodes int
 	// Epoch is the placement epoch; all routers of a fleet must agree.
 	Epoch uint64
-	// Client issues the proxy requests in daemon mode (default: a
-	// dedicated client with a 10s dial/response-header budget and no
-	// overall timeout, so SSE streams are never cut).
-	Client *http.Client
 	// RetryAfter is the hint returned with 503 when an owning host is
 	// unreachable (default 1s).
 	RetryAfter time.Duration
-	// MaxBodyBytes caps create-request bodies, the only bodies the
-	// router itself decodes (default 1 MiB).
+	// MaxBodyBytes caps the request bodies the router reads: create
+	// requests, the only ones it decodes, and the bodies it forwards to
+	// remote hosts, which it buffers (default 1 MiB).
 	MaxBodyBytes int64
 }
 
@@ -60,9 +59,10 @@ type Options struct {
 // precisely so routing needs no decode) and passed through untouched:
 // in direct mode the owning host's handler is invoked on the original
 // request and response writer (zero copies, zero allocations added to
-// the PR 7 poll path); in daemon mode bodies stream through pooled
-// scratch buffers in both directions, JSON and application/x-schedd-
-// frame alike, with Content-Type, Accept and Last-Event-ID forwarded.
+// the single-host poll path); in daemon mode each forward is one write
+// on a pooled keep-alive connection to the owner (see hop), JSON and
+// application/x-schedd-frame alike, with Content-Type, Accept and
+// Last-Event-ID forwarded.
 //
 // Fleet-level endpoints are aggregated: POST /v1/runs assigns an id
 // (when the client did not pin one) and places the run on its ring
@@ -75,7 +75,11 @@ type Router struct {
 	ring    atomic.Pointer[Ring]
 	targets []Target
 	opts    Options
-	client  *http.Client
+	// ups holds the daemon-mode hop of each remote target (nil for
+	// in-process ones); client serves the cold paths — listings,
+	// metrics, firehose pumps, migration pushes.
+	ups    []*upstream
+	client *http.Client
 
 	// handoffMu serializes rebalances (SetEpoch, RecoverHost,
 	// MigrateRun); moving holds the run ids mid-handoff (nil when none
@@ -90,8 +94,8 @@ type Router struct {
 	down      atomic.Uint64
 	overrides atomic.Pointer[map[string]int32]
 
-	// bufs holds the pooled per-connection proxy scratch (32 KiB
-	// copy buffers, daemon mode only).
+	// bufs holds pooled daemon-mode scratch: forwarded request bodies
+	// and streamed answer copies (32 KiB to start).
 	bufs sync.Pool
 
 	idmu  sync.Mutex
@@ -106,6 +110,7 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 		return nil, fmt.Errorf("federation: router needs at least one target")
 	}
 	names := make([]string, len(targets))
+	ups := make([]*upstream, len(targets))
 	for i := range targets {
 		if (targets[i].Server == nil) == (targets[i].URL == "") {
 			return nil, fmt.Errorf("federation: target %d must set exactly one of Server and URL", i)
@@ -117,6 +122,13 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 			return nil, fmt.Errorf("federation: target %d needs a Name", i)
 		}
 		names[i] = targets[i].Name
+		if targets[i].URL != "" {
+			up, err := newUpstream(targets[i].URL)
+			if err != nil {
+				return nil, fmt.Errorf("federation: target %d: %w", i, err)
+			}
+			ups[i] = up
+		}
 	}
 	ring, err := NewRing(names, opts.Vnodes, opts.Epoch)
 	if err != nil {
@@ -128,18 +140,16 @@ func NewRouter(targets []Target, opts Options) (*Router, error) {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 1 << 20
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost:   64,
-			ResponseHeaderTimeout: 10 * time.Second,
-		}}
-	}
 	rt := &Router{
 		targets: append([]Target(nil), targets...),
 		opts:    opts,
-		client:  client,
-		idrng:   rng.New(uint64(time.Now().UnixNano())),
+		ups:     ups,
+		// No overall timeout: the firehose pumps are SSE streams.
+		client: &http.Client{Transport: &http.Transport{
+			DialContext:           (&net.Dialer{Timeout: dialTimeout}).DialContext,
+			ResponseHeaderTimeout: responseHeaderTimeout,
+		}},
+		idrng: rng.New(uint64(time.Now().UnixNano())),
 	}
 	rt.ring.Store(ring)
 	rt.bufs.New = func() any { b := make([]byte, 32<<10); return &b }
@@ -248,75 +258,28 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // forward hands the request to target owner: direct delegation for an
 // in-process host (the handler sees the original request — a 404 for
-// an unknown run id is the host's own answer passing through), a
-// streamed proxy hop for a remote one.
+// an unknown run id is the host's own answer passing through), the
+// pooled hop for a remote one.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, owner int) {
-	t := &rt.targets[owner]
-	if t.Server != nil {
-		t.Server.ServeHTTP(w, r)
+	if s := rt.targets[owner].Server; s != nil {
+		s.ServeHTTP(w, r)
 		return
 	}
-	rt.proxy(w, r, t)
-}
-
-// proxyHeaders are the request headers the proxy forwards: the
-// content negotiation pair (JSON vs binary frame is the backend's
-// decision, the body passes through opaque either way) and the SSE
-// resume cursor.
-var proxyHeaders = [...]string{"Content-Type", "Accept", "Last-Event-ID", "Cache-Control"}
-
-// proxy streams the request to t and the response back, zero-copy
-// through one pooled scratch buffer per direction of each connection.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, t *Target) {
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, t.URL+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		errJSON(w, http.StatusInternalServerError, fmt.Sprintf("building proxy request: %v", err))
-		return
-	}
-	out.ContentLength = r.ContentLength
-	for _, h := range proxyHeaders {
-		if v := r.Header.Get(h); v != "" {
-			out.Header.Set(h, v)
-		}
-	}
-	resp, err := rt.client.Do(out)
-	if err != nil {
-		rt.unreachable(w, t)
-		return
-	}
-	defer resp.Body.Close()
-	hdr := w.Header()
-	for _, h := range [...]string{"Content-Type", "Content-Length", "Cache-Control", "X-Accel-Buffering", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			hdr.Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
 	buf := rt.bufs.Get().(*[]byte)
 	defer rt.bufs.Put(buf)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		// SSE: flush after every chunk so forwarded frames are live,
-		// not buffered until the stream ends.
-		fl, _ := w.(http.Flusher)
-		for {
-			n, rerr := resp.Body.Read(*buf)
-			if n > 0 {
-				if _, werr := w.Write((*buf)[:n]); werr != nil {
-					return
-				}
-				if fl != nil {
-					fl.Flush()
-				}
-			}
-			if rerr != nil {
-				return
-			}
-		}
+	body, err := readBody(r, *buf, rt.opts.MaxBodyBytes)
+	*buf = body
+	switch {
+	case errors.Is(err, errBodyTooLarge):
+		errJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", rt.opts.MaxBodyBytes))
+	case err != nil:
+		errJSON(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
+	default:
+		rt.hop(w, r, owner, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), body)
 	}
-	io.CopyBuffer(w, resp.Body, *buf)
 }
 
-// unreachable answers for an owning host the proxy could not reach:
+// unreachable answers for an owning host the hop could not reach:
 // a deterministic 503 with a Retry-After hint. The raw transport
 // error is deliberately not echoed — it varies by OS and timing,
 // and the client's correct move (back off, retry, let the fleet
@@ -349,34 +312,17 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		errJSON(w, http.StatusInternalServerError, fmt.Sprintf("encoding request: %v", err))
 		return
 	}
-	t := &rt.targets[owner]
-	if t.Server != nil {
+	if s := rt.targets[owner].Server; s != nil {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/runs", bytes.NewReader(body))
 		if err != nil {
 			errJSON(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		t.Server.ServeHTTP(w, req)
+		s.ServeHTTP(w, req)
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, t.URL+"/v1/runs", bytes.NewReader(body))
-	if err != nil {
-		errJSON(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.unreachable(w, t)
-		return
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	rt.hop(w, r, owner, http.MethodPost, "/v1/runs", "application/json", body)
 }
 
 // newID mints a router-assigned run id: same shape as the registry's

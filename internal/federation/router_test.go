@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -507,4 +509,104 @@ func TestRouterServeHTTPAllocParity(t *testing.T) {
 		t.Errorf("routed poll allocates %.2f objects vs %.2f direct: router added %.2f allocations",
 			routed, direct, routed-direct)
 	}
+}
+
+// TestRouterHopAllocs pins the daemon-mode forward's allocations: a
+// JSON /next through the router to a canned raw-TCP upstream that
+// allocates nothing itself, so only the router's own code is counted.
+func TestRouterHopAllocs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	answer := []byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 46\r\n\r\n" +
+		`{"status":"ok","tasks":[1,2,3,4],"blocks":2}` + "\n\n")
+	go serveCanned(ln, answer)
+	rt, err := NewRouter([]Target{{Name: "canned", URL: "http://" + ln.Addr().String()}}, Options{Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"worker":0}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/runs/canned-run/next", nil)
+	req.Body = io.NopCloser(rd)
+	req.ContentLength = int64(len(body))
+	req.Header.Set("Content-Type", "application/json")
+	w := &sinkWriter{h: http.Header{}}
+	poll := func() {
+		rd.Reset(body)
+		clear(w.h)
+		w.code, w.n = 0, 0
+		rt.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n != 46 {
+			t.Fatalf("forwarded poll: status %d, %d body bytes", w.code, w.n)
+		}
+	}
+	for i := 0; i < 200; i++ { // steady state: the connection and its buffers exist
+		poll()
+	}
+	// The two relayed headers' []string values; the interned
+	// Content-Type costs nothing, the Content-Length value string one.
+	const want = 3
+	if got := testing.AllocsPerRun(500, poll); got != want {
+		t.Errorf("daemon-mode forward allocates %.0f objects/poll, want %d", got, want)
+	}
+}
+
+// serveCanned answers every request on every connection ln accepts
+// with answer, reading each request's head and Content-Length body
+// without allocating.
+func serveCanned(ln net.Listener, answer []byte) {
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer c.Close()
+			br := bufio.NewReader(c)
+			for {
+				n := 0
+				for {
+					line, err := br.ReadSlice('\n')
+					if err != nil {
+						return
+					}
+					if len(line) <= 2 {
+						break
+					}
+					if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+						for _, d := range bytes.TrimSpace(v) {
+							n = n*10 + int(d-'0')
+						}
+					}
+				}
+				if _, err := br.Discard(n); err != nil {
+					return
+				}
+				if _, err := c.Write(answer); err != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// sinkWriter is a reusable http.ResponseWriter that keeps the status
+// and counts the body.
+type sinkWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (s *sinkWriter) Header() http.Header  { return s.h }
+func (s *sinkWriter) WriteHeader(code int) { s.code = code }
+func (s *sinkWriter) Write(b []byte) (int, error) {
+	if s.code == 0 {
+		s.code = http.StatusOK
+	}
+	s.n += len(b)
+	return len(b), nil
 }
