@@ -83,7 +83,7 @@ func main() {
 	lease := flag.Duration("lease", 0, "default assignment lease: reclaim tasks a worker holds longer than this (0 = never; runs can override via lease_seconds)")
 	eventsBuffer := flag.Int("events-buffer", 0, "per-subscriber event buffer and per-run retention ring for /v1/events streams (0 = default 1024); a subscriber that reads slower than events arrive drops the overflow")
 	journalDir := flag.String("journal-dir", "", "durable write-ahead journal directory: every run mutation is journaled there before its response is released, and startup replays snapshot+tail back to the exact pre-crash state (empty = volatile, no journal)")
-	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "periodic checkpoint interval with -journal-dir: snapshot every run and prune the journal behind the snapshots, bounding recovery time (0 = never; recovery then replays the whole log)")
+	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "periodic checkpoint interval with -journal-dir: snapshot every run and prune the journal behind the snapshots, bounding the journal tail a restart replays; restoring a snapshot still re-executes the run's whole driver op log (0 = never; recovery then replays the whole journal)")
 	router := flag.Bool("router", false, "serve as a federation router over -peers instead of hosting runs")
 	peers := flag.String("peers", "", "comma-separated peer base URLs for -router mode (e.g. http://h1:8080,http://h2:8080)")
 	ringEpoch := flag.Uint64("ring-epoch", 0, "placement-ring epoch: bump to reshuffle where new runs land (router mode)")

@@ -330,6 +330,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.Grants, s.Grants) || !reflect.DeepEqual(got.Segments, s.Segments) {
 				t.Fatalf("slices diverge: %+v vs %+v", got, s)
 			}
+			// The output is presized to the exact encoded length: one
+			// allocation, no growth.
+			if size := snapshotSize(s); size != len(enc) {
+				t.Fatalf("snapshotSize = %d, encoding has %d bytes", size, len(enc))
+			}
+			if allocs := testing.AllocsPerRun(20, func() { AppendSnapshot(nil, s) }); allocs != 1 {
+				t.Fatalf("AppendSnapshot(nil, s) allocates %.1f times, want 1", allocs)
+			}
 		})
 	}
 }

@@ -35,7 +35,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -252,35 +252,45 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Rotate syncs and seals the current generation and opens the next
-// one; it returns the sealed generation. Checkpointing snapshots every
-// live run after rotating, so the sealed generations are fully covered
-// by the snapshots' watermarks and can be pruned.
+// Rotate seals the current generation and opens the next one; it
+// returns the sealed generation, synced to disk. Checkpointing
+// snapshots every live run after rotating, so the sealed generations
+// are fully covered by the snapshots' watermarks and can be pruned.
+//
+// Only the swap holds the journal lock: the buffered frames are
+// written to the old generation and the new one takes over appends.
+// The sealed file is fsynced and closed after the lock drops, so
+// concurrent Commits never wait on that fsync. A failure to open the
+// next generation leaves the current one in service.
 func (l *Log) Rotate() (sealed uint64, err error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return 0, fmt.Errorf("durable: journal closed")
 	}
 	if err := l.commitLocked(); err != nil {
+		l.mu.Unlock()
 		return 0, err
 	}
-	l.sinceSync = 0
-	if err := l.f.Sync(); err != nil {
-		return 0, fmt.Errorf("durable: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return 0, fmt.Errorf("durable: %w", err)
-	}
-	sealed = l.gen
-	l.gen++
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.gen)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.gen+1)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		l.closed = true
+		l.mu.Unlock()
 		return 0, fmt.Errorf("durable: %w", err)
 	}
+	old := l.f
+	sealed = l.gen
 	l.f = f
+	l.gen++
+	l.sinceSync = 0
 	l.damaged = false
+	l.mu.Unlock()
+	if err := old.Sync(); err != nil {
+		old.Close()
+		return 0, fmt.Errorf("durable: %w", err)
+	}
+	if err := old.Close(); err != nil {
+		return 0, fmt.Errorf("durable: %w", err)
+	}
 	return sealed, nil
 }
 
@@ -460,6 +470,6 @@ func scanDir(dir string) (gens []uint64, snaps []snapFile, err error) {
 			snaps = append(snaps, snapFile{name: name, id: base[:dash], seq: seq})
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	slices.Sort(gens)
 	return gens, snaps, nil
 }

@@ -87,10 +87,12 @@ const maxSnapshotSlice = 1 << 26
 // AppendSnapshot appends the encoding of s to dst. The trailing CRC
 // covers the snapshot's own bytes only, so the encoding is position
 // independent — it may be embedded mid-stream (transfer streams do).
+// dst grows at most once, to exactly the encoded length.
 func AppendSnapshot(dst []byte, s *RunSnapshot) []byte {
 	if len(s.ID) > 1<<16-1 {
 		panic("durable: run id exceeds snapshot format")
 	}
+	dst = grow(dst, snapshotSize(s))
 	start := len(dst)
 	dst = append(dst, snapMagic[:]...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s.ID)))
@@ -148,6 +150,34 @@ func AppendSnapshot(dst []byte, s *RunSnapshot) []byte {
 	}
 	dst = appendBytes(dst, s.DriverOps)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// snapshotSize is the exact length of s's encoding: the fixed header
+// and scalars, one u32 length per slice, the fixed-width elements, and
+// the CRC.
+func snapshotSize(s *RunSnapshot) int {
+	const (
+		fixed = len(snapMagic) + 2 + 8 + 1 + // magic, id length, watermark, expired
+			11*8 + 4*8 + // int64 and float64 scalars
+			8*4 + // u32 lengths of the eight byte and element slices
+			4 // CRC
+		worker  = 4 * 8
+		segment = 5 * 8
+		grant   = 8 + 8 + 4
+		stain   = 8 + 4
+	)
+	return fixed + len(s.ID) + len(s.Request) + 8*len(s.BatchHist) + worker*len(s.Workers) +
+		segment*len(s.Segments) + 4*len(s.Open) + grant*len(s.Grants) + stain*len(s.Stains) + len(s.DriverOps)
+}
+
+// grow is slices.Grow with one allocation in every build mode: the
+// compiler's no-allocation form of append(s, make(...)...) that
+// slices.Grow relies on is disabled under -race.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
 }
 
 func appendBytes(dst, b []byte) []byte {
@@ -317,9 +347,13 @@ func DecodeSnapshot(b []byte) (*RunSnapshot, error) {
 // rename. A crash at any point leaves either the complete new file or
 // the previous state — never a half-written snapshot under the final
 // name (and a half-written tmp fails its CRC anyway).
+//
+// s is not used after encoding, so a caller that drops its own
+// reference lets the collector free the snapshot during the write and
+// fsync; only the encoding stays live.
 func (l *Log) WriteSnapshot(s *RunSnapshot) error {
-	data := AppendSnapshot(nil, s)
 	final := filepath.Join(l.dir, snapshotName(s.ID, s.Mutations))
+	data := AppendSnapshot(nil, s)
 	tmp, err := os.CreateTemp(l.dir, tmpPrefix+"snap-*")
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)

@@ -1,15 +1,17 @@
 package service
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hetsched/internal/core"
 	"hetsched/internal/durable"
 	"hetsched/internal/stats"
+	"hetsched/internal/trace"
 )
 
 // This file is the service half of internal/durable: the canonical
@@ -220,11 +222,32 @@ func (h *Host) applyReclaim(timeNs int64) int {
 	return h.reclaimAll(time.Unix(0, timeNs))
 }
 
-// fillSnapshot captures the host-owned durable state into s: a
-// consistent cut at watermark h.muts, taken under every stripe plus
-// the core lock (the same atomicity as Stats). Grants and stains are
-// sorted so snapshot bytes are deterministic for a given state.
+// fillSnapshot captures the host-owned durable state into s in two
+// phases. cutSnapshot copies a consistent cut at watermark h.muts
+// under every stripe plus the core lock (the same atomicity as Stats),
+// in O(live state) and without sorting; polls stall only for that
+// copy. The canonical order — grants by task, stains by (task,
+// worker), so snapshot bytes are deterministic for a given state — is
+// imposed after the locks drop, on the snapshot's private copies.
 func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
+	h.cutSnapshot(s)
+	slices.SortFunc(s.Grants, func(a, b durable.Grant) int { return cmp.Compare(a.Task, b.Task) })
+	slices.SortFunc(s.Stains, func(a, b durable.Stain) int {
+		if c := cmp.Compare(a.Task, b.Task); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Worker, b.Worker)
+	})
+}
+
+// cutSnapshot is fillSnapshot's locked phase. Every slice it stores is
+// presized to its exact length, except DriverOps: the op log is
+// append-only (never truncated or rewritten in place), so its first n
+// bytes are immutable and the snapshot shares them as the cap-limited
+// prefix h.opLog[:n:n] — later appends land past n, and an append to
+// the shared slice reallocates instead of writing into the host's
+// buffer.
+func (h *Host) cutSnapshot(s *durable.RunSnapshot) {
 	h.lockStripes()
 	defer h.unlockStripes()
 	h.mu.Lock()
@@ -251,31 +274,28 @@ func (h *Host) fillSnapshot(s *durable.RunSnapshot) {
 			Reclaimed: int64(w.Reclaimed),
 		}
 	}
-	s.Segments = append(s.Segments[:0], h.tr.Segments...)
+	s.Segments = append([]trace.Segment(nil), h.tr.Segments...)
 	s.Open = make([]int32, len(h.open))
 	for i, idx := range h.open {
 		s.Open[i] = int32(idx)
 	}
-	s.Grants = s.Grants[:0]
+	grants, stains := 0, 0
 	for i := range h.stripes {
-		h.stripes[i].outstanding.forEach(func(t core.Task, worker int32, expiryNs int64) {
+		grants += h.stripes[i].outstanding.n
+		stains += len(h.stripes[i].reclaimedFrom)
+	}
+	s.Grants = slices.Grow(s.Grants[:0], grants)
+	s.Stains = slices.Grow(s.Stains[:0], stains)
+	for i := range h.stripes {
+		st := &h.stripes[i]
+		st.outstanding.forEach(func(t core.Task, worker int32, expiryNs int64) {
 			s.Grants = append(s.Grants, durable.Grant{Task: int64(t), ExpiryNs: expiryNs, Worker: worker})
 		})
-	}
-	sort.Slice(s.Grants, func(i, j int) bool { return s.Grants[i].Task < s.Grants[j].Task })
-	s.Stains = s.Stains[:0]
-	for i := range h.stripes {
-		for to := range h.stripes[i].reclaimedFrom {
+		for to := range st.reclaimedFrom {
 			s.Stains = append(s.Stains, durable.Stain{Task: int64(to.task), Worker: int32(to.worker)})
 		}
 	}
-	sort.Slice(s.Stains, func(i, j int) bool {
-		if s.Stains[i].Task != s.Stains[j].Task {
-			return s.Stains[i].Task < s.Stains[j].Task
-		}
-		return s.Stains[i].Worker < s.Stains[j].Worker
-	})
-	s.DriverOps = append([]byte(nil), h.opLog...)
+	s.DriverOps = h.opLog[:len(h.opLog):len(h.opLog)]
 }
 
 // restoreHost rebuilds a Host from a snapshot: drv must already have

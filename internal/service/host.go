@@ -1,10 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -834,9 +835,10 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 			h.nextExpiryNs.Store(expNs) // serialized: all writers hold mu
 		}
 	}
-	for _, t := range acc {
-		st.outstanding.put(t, int32(w), expNs)
-	}
+	// The grants are counted under mu, so a concurrent done-check cannot
+	// observe a drained driver with them not yet in flight; their table
+	// inserts wait until mu drops (below), still under the stripe lock —
+	// every other reader of the tables holds every stripe.
 	h.outstandingCount.Add(int64(len(acc)))
 	h.assigned += len(acc)
 	h.blocks += blocks
@@ -866,6 +868,9 @@ func (h *Host) apply(timeNs int64, w int, completed []core.Task) (core.Assignmen
 		h.flushEventsLocked()
 	}
 	h.mu.Unlock()
+	for _, t := range acc {
+		st.outstanding.put(t, int32(w), expNs)
+	}
 	st.mu.Unlock()
 	a := core.Assignment{Blocks: blocks}
 	if len(acc) > 0 {
@@ -984,11 +989,11 @@ func (h *Host) reclaimLocked(now time.Time) int {
 			h.jr.AppendReclaim(h.runID, h.muts, nowNs)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool {
-		if expired[i].worker != expired[j].worker {
-			return expired[i].worker < expired[j].worker
+	slices.SortFunc(expired, func(a, b expiredGrant) int {
+		if c := cmp.Compare(a.worker, b.worker); c != 0 {
+			return c
 		}
-		return expired[i].task < expired[j].task
+		return cmp.Compare(a.task, b.task)
 	})
 	for _, eg := range expired {
 		s := h.stripe(eg.worker)

@@ -3,7 +3,8 @@ package service
 import (
 	"fmt"
 	"log"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,11 +281,11 @@ func (g *Registry) Runs() []*Run {
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Created.Equal(out[j].Created) {
-			return out[i].Created.Before(out[j].Created)
+	slices.SortFunc(out, func(a, b *Run) int {
+		if c := a.Created.Compare(b.Created); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 	return out
 }
@@ -376,10 +377,13 @@ func (g *Registry) RecordExpire(run *Run) error {
 	return g.jr.Commit()
 }
 
-// Checkpoint bounds recovery time: it seals the current journal
-// generation, writes a fresh snapshot of every registered run, and
-// prunes everything the snapshots supersede — sealed generations and
-// older snapshots. A crash anywhere inside leaves recovery correct:
+// Checkpoint bounds the journal tail recovery replays: it seals the
+// current journal generation, writes a fresh snapshot of every
+// registered run, and prunes everything the snapshots supersede —
+// sealed generations and older snapshots. It does not bound recovery
+// time outright: restoring a snapshot re-executes the run's whole
+// driver op log. Polls keep flowing throughout; each run stalls only
+// for the locked phase of its cut (see fillSnapshot). A crash anywhere inside leaves recovery correct:
 // until Prune commits the deletions, the old snapshot plus the sealed
 // tail reconstruct the same state the new snapshot captures.
 //
@@ -398,10 +402,12 @@ func (g *Registry) Checkpoint() error {
 	keep := make(map[string]uint64, g.Len())
 	for _, run := range g.Runs() {
 		s := run.snapshot()
+		// s is not used past WriteSnapshot, which drops it once encoded:
+		// the run's copied state is garbage before the file write.
+		keep[s.ID] = s.Mutations
 		if err := g.jr.WriteSnapshot(s); err != nil {
 			return err
 		}
-		keep[s.ID] = s.Mutations
 	}
 	return g.jr.Prune(sealed, keep)
 }
